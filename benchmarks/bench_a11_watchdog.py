@@ -244,11 +244,12 @@ def _pair_cost_ns(variant: str, pairs: int) -> float:
     """ns per uncontended acquire/release pair for one config variant."""
     from repro.runtime.runtime import DimmunixRuntime
 
-    # Exact capture path for every variant: watchdog-on's bus
-    # subscription flips ``lifecycle_observed``, which would demote
-    # only that variant off the no-history fast path and turn the
-    # ratio into a fast-vs-exact comparison. The fast path is gated
-    # separately (E1/A7 fastpath gates); this bench isolates the
+    # Exact capture path for every variant, where earlier rows of this
+    # ratio were measured: watchdog-on's subscription adds its window
+    # kinds to ``EventBus.wanted``, so only that variant builds and
+    # dispatches request/acquired events, and over the much cheaper
+    # fast-path pair that cost would swamp the ratio. The fast path is
+    # gated separately (E1/A7 fastpath gates); this bench isolates the
     # watchdog subscription tax.
     exact = dict(auto_save=False, position_cache=False, fast_path=False)
     config = {

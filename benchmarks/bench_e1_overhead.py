@@ -474,12 +474,13 @@ def _time_watchdog_thread_pairs(variant: str, pairs: int) -> float:
     from repro.config import DimmunixConfig
     from repro.runtime.runtime import DimmunixRuntime
 
-    # All variants pin the exact capture path: the watchdog's bus
-    # subscription flips ``lifecycle_observed``, which would push only
-    # the "on" variant off the no-history fast path and the ratio would
-    # compare two different code paths. The fast path has its own gate
-    # (bench_fastpath_overhead_gate); this one isolates the
-    # subscription tax.
+    # All variants pin the exact capture path, where earlier rows of
+    # this ratio were measured: the watchdog's subscription adds its
+    # window kinds to ``EventBus.wanted``, so only the "on" variant
+    # builds and dispatches request/acquired events, and over the much
+    # cheaper fast-path pair that cost would swamp the ratio. The fast
+    # path has its own gate (bench_fastpath_overhead_gate); this one
+    # isolates the subscription tax.
     exact = dict(auto_save=False, position_cache=False, fast_path=False)
     config = {
         "baseline": DimmunixConfig(**exact),

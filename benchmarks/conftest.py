@@ -6,11 +6,18 @@ comparison as an :class:`~repro.analysis.report.ExperimentRecord`. The
 records are printed in a summary block at the end of the run — so the
 ``pytest benchmarks/ --benchmark-only`` transcript contains the same rows
 the paper reports — and appended to ``benchmarks/results/records.jsonl``,
-from which EXPERIMENTS.md is refreshed.
+from which EXPERIMENTS.md is refreshed. Each run's records are preceded
+by one header row (``"run_header": true``) naming the git commit and
+dirty flag, the interpreter and its build, and the core count, so rows
+from different runs stay comparable.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 
@@ -71,11 +78,38 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     stamp = time.strftime("%Y-%m-%d %H:%M:%S")
     out = RESULTS_DIR / "records.jsonl"
-    with open(out, "w", encoding="utf-8") as handle:
-        import json
-
+    with open(out, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(_run_header(stamp)) + "\n")
         for experiment_record in records:
             data = experiment_record.to_json()
             data["run_at"] = stamp
             handle.write(json.dumps(data) + "\n")
-    terminalreporter.write_line(f"records written to {out}")
+    terminalreporter.write_line(f"records appended to {out}")
+
+
+def _run_header(stamp: str) -> dict:
+    """The row that opens each run's records: commit, interpreter, host."""
+    root = Path(__file__).parent.parent
+
+    def git(*args: str) -> str:
+        try:
+            return subprocess.run(
+                ["git", *args],
+                cwd=root,
+                capture_output=True,
+                text=True,
+                timeout=10,
+            ).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            return ""
+
+    return {
+        "run_header": True,
+        "run_at": stamp,
+        "git_sha": git("rev-parse", "HEAD") or None,
+        "git_dirty": bool(git("status", "--porcelain")),
+        "interpreter": f"{platform.python_implementation()} "
+        f"{platform.python_version()}",
+        "build": " ".join(platform.python_build()),
+        "nproc": os.cpu_count(),
+    }

@@ -27,12 +27,8 @@ import asyncio
 import time
 from typing import TYPE_CHECKING, Optional
 
-from asyncio.events import get_running_loop as _get_running_loop
-from asyncio.tasks import _current_tasks
-
 from repro.aio import _originals
 from repro.core.callstack import CallStack
-from repro.core.position import _QueueCell
 from repro.errors import DeadlockDetectedError
 from repro.runtime.callsite import resolve_stack
 from repro.runtime.locks import LostRestoreMarker
@@ -62,21 +58,9 @@ class AioDimmunixLock:
         # so both adapter layers resolve to the same Position table.
         self._cache = getattr(runtime, "position_cache", None) if self._enabled else None
         self._fast_path = runtime.config.fast_path and self._cache is not None
-        # Pre-bound hot-path methods — see DimmunixLock. The acquire
-        # fast branch additionally inlines the adapter's node probe and
-        # glock section (saving one call frame per acquire), so it
-        # pre-binds the adapter internals it reaches through.
+        # Pre-bound hot-path methods — see DimmunixLock.
         self._lookup = self._cache.lookup_or_resolve if self._cache is not None else None
         self._fast_book = self._adapter.fast_acquired
-        self._task_nodes = self._adapter._task_nodes
-        glock = self._adapter._glock
-        self._glock_acquire = glock.acquire
-        self._glock_release = glock.release
-        core = self._adapter.core
-        self._core_fast = core.fast_acquired
-        self._core_history = core.history
-        self._core_events = core.events
-        self._core_stats = core.stats
         self.node = self._adapter.new_lock_node(name) if self._enabled else None
         self.name = name or (self.node.name if self.node else "aio-lock")
         # Kept on the lock (not the condition) so both monitor
@@ -134,75 +118,17 @@ class AioDimmunixLock:
                         and not position.in_history
                         and not raw._locked
                         and not raw._waiters
+                        and self._fast_book(self.node, position)
                     ):
-                        # The adapter's fast_acquired, inlined on the
-                        # probe-hit telemetry-off path (one call frame
-                        # fewer); the adapter route stays for probe
-                        # misses and for telemetry's glock_wait timing.
-                        task = _current_tasks.get(_get_running_loop())
-                        task_node = (
-                            self._task_nodes.get(id(task))
-                            if task is not None
-                            else None
-                        )
-                        if task_node is None or tel is not None:
-                            booked = self._fast_book(self.node, position)
-                        else:
-                            self._glock_acquire()
-                            try:
-                                # Engine fast_acquired, hot case inlined
-                                # under the glock: epoch-valid cold
-                                # position, nobody observing the bus.
-                                # Any miss (stale epoch, demoted, or an
-                                # observed bus that needs the event
-                                # pair) delegates to the engine method,
-                                # which owns revalidation and emission.
-                                lock_node = self.node
-                                if (
-                                    position.fastpath_epoch
-                                    == self._core_history._index_epoch
-                                    and not position.in_history
-                                    and not self._core_events.lifecycle_observed
-                                ):
-                                    queue = position.queue
-                                    cell = queue._free
-                                    if cell is not None:
-                                        queue._free = cell.next
-                                        queue.reuses += 1
-                                    else:
-                                        cell = _QueueCell()
-                                        queue.allocations += 1
-                                    cell.thread = task_node
-                                    cell.lock = lock_node
-                                    cell.next = queue._head
-                                    queue._head = cell
-                                    queue.size += 1
-                                    lock_node.owner = task_node
-                                    lock_node.acq_pos = position
-                                    lock_node.acq_stack = position.stack
-                                    task_node.held.add(lock_node)
-                                    stats = self._core_stats
-                                    stats.fastpath_acquires += 1
-                                    stats.requests += 1
-                                    stats.acquisitions += 1
-                                    booked = True
-                                else:
-                                    booked = self._core_fast(
-                                        task_node, lock_node, position
-                                    )
-                            finally:
-                                self._glock_release()
-                        if booked:
-                            # The physical acquire, inlined: with
-                            # _locked False and no waiters,
-                            # asyncio.Lock.acquire is exactly this
-                            # assignment (plus coroutine machinery we
-                            # skip); release()/locked() read the same
-                            # attribute.
-                            raw._locked = True
-                            if self._lost_set:
-                                self._lost_set.discard(id(task))
-                            return True
+                        # The physical acquire, inlined: with _locked
+                        # False and no waiters, asyncio.Lock.acquire is
+                        # exactly this assignment (plus coroutine
+                        # machinery we skip); release()/locked() read
+                        # the same attribute.
+                        raw._locked = True
+                        if self._lost_set:
+                            self._lost_set.discard(id(asyncio.current_task()))
+                        return True
                     stack = position.stack
             if stack is None:
                 if tel is not None:

@@ -91,10 +91,12 @@ class Dimmunix:
                 self.config.resolved_history_url(), self.config.max_signatures
             )
         )
-        # The session binds the history's save announcements before any
+        # The session binds the history's announcements before any
         # adapter core can: session-wide saves are stamped with the
-        # session's name, whichever layer triggered the flush.
-        self.history.bind_events(self.events, self.name)
+        # session's name, whichever layer triggered the flush, and
+        # predicted seeds are tallied once, in the session's own stats.
+        self._history_stats = DimmunixStats()
+        self.history.bind_events(self.events, self.name, self._history_stats)
         self.counter = EventCounter()
         self._counter_subscription = self.events.subscribe(self.counter)
         self._runtime: Optional["DimmunixRuntime"] = None
@@ -349,6 +351,7 @@ class Dimmunix:
     def stats(self) -> DimmunixStats:
         """Aggregated counters across every adapter in the session."""
         merged = DimmunixStats()
+        merged.merge(self._history_stats)
         if self._runtime is not None:
             merged.merge(self._runtime.stats)
         if self._aio is not None:
@@ -547,11 +550,10 @@ class Dimmunix:
         for subscription in self._tail_subscriptions:
             self.events.unsubscribe(subscription)
         self.events.unsubscribe(self._counter_subscription)
-        # The adapter cores' stats subscribers too — on an externally
-        # owned bus they would otherwise keep counting (same-named
-        # successor sessions share a source string) and leak one dead
-        # subscription per core. The attached aio runtime must detach
-        # its waker before the thread runtime's core goes.
+        # The adapter cores too — on an externally owned bus their
+        # source names, watchdogs and sync pumps would otherwise outlive
+        # the session. The attached aio runtime must detach its waker
+        # before the thread runtime's core goes.
         if self._aio_attached is not None:
             self._aio_attached.close()
         if self._aio is not None:

@@ -22,13 +22,13 @@ Thread-safety contract: all engine calls must be serialized by the
 caller — the paper uses a process-global lock around Request/Acquired/
 Release, and so do our adapters.
 
-Every decision is also published as a typed event on the engine's
+Every decision bumps its ``DimmunixStats`` counter at the site that
+makes it, and is also published as a typed event on the engine's
 :class:`~repro.core.events.EventBus` (request, acquired, release, yield,
-resume, detection, starvation, match-capped, history-saved).
-``DimmunixStats`` is just
-the first subscriber on that bus — the counters are event-derived — and
-any number of further subscribers (profilers, CLIs, aggregators) can
-observe the same stream without touching the lock path.
+resume, detection, starvation, match-capped, history-saved) — but only
+when some subscriber wants that kind (:meth:`DimmunixCore._emit` is the
+one place that decides). Subscribers (profilers, CLIs, aggregators)
+observe the stream without touching the counters.
 
 Persistence is one of those subscribers: the engine itself performs no
 file I/O. Recording a signature updates the in-memory store; the
@@ -185,9 +185,8 @@ class DimmunixCore:
         else:
             self.telemetry = None
         # The typed event stream. A shared bus (one session, several
-        # adapters) is fine: events carry this core's ``source`` and the
-        # stats subscription filters on it, so each core's counters only
-        # reflect its own traffic.
+        # adapters) is fine: events carry this core's ``source``, and the
+        # counters are bumped by this core's own sites, never by the bus.
         self.source = source
         self.events = events if events is not None else EventBus()
         self._clock = clock
@@ -197,21 +196,15 @@ class DimmunixCore:
         # thread's release resume a parked asyncio task and vice versa.
         self._wakers: list[Callable[[DeadlockSignature], None]] = []
         # Claiming the source catches two same-named cores on one bus —
-        # they would double-count into each other's stats.
+        # their events would be indistinguishable to source filters.
         self.events.claim_source(source)
-        # internal=True: the stats mirror does not count as an observer
-        # for the bus's lifecycle_observed flag — the capture fast path
-        # keeps these counters exact with direct bumps when it elides
-        # event construction.
-        self._stats_subscription = self.events.subscribe(
-            self.stats.on_event, source=source, internal=True
-        )
-        # Persistence wiring: bind the history's save announcements to
-        # this bus (first core wins on a session-shared history) and
-        # attach the write-behind persister when the backend is durable.
+        # Persistence wiring: bind the history's save and seed
+        # announcements to this bus and stats (first core wins on a
+        # session-shared history) and attach the write-behind persister
+        # when the backend is durable.
         # The engine itself never writes a file — see the module
         # docstring.
-        self.history.bind_events(self.events, source)
+        self.history.bind_events(self.events, source, self.stats)
         # Demotion policy: predictions that never matched age by one run
         # per engine start-up and expire at the TTL. Idempotent on a
         # session-shared history (one aging step per process run).
@@ -268,6 +261,7 @@ class DimmunixCore:
                         self.events,
                         interval=self.config.fleet_sync_interval,
                         source=source,
+                        stats=self.stats,
                         telemetry=self.telemetry,
                         health_provider=(
                             self.watchdog.health
@@ -282,11 +276,11 @@ class DimmunixCore:
         return self._clock() if self._clock is not None else 0.0
 
     def detach_events(self) -> None:
-        """Unhook this core's stats subscriber from the (shared) bus.
+        """Retire this core from the (shared) bus.
 
-        After this, events keep being published but the counters stop;
-        used by session teardown so a retired core does not linger as a
-        subscriber on a bus that outlives it. The source name becomes
+        Used by session teardown so a retired core leaves nothing
+        subscribed on a bus that outlives it: the watchdog and sync
+        pump this core started are stopped, and the source name becomes
         claimable again. Pending antibodies are flushed first — a
         retiring core must not strand signatures in memory — and a
         persister this core attached is closed (worker joined,
@@ -302,7 +296,6 @@ class DimmunixCore:
             self.history.detach_persister()
             self._attached_persister = False
         self.flush_history()
-        self.events.unsubscribe(self._stats_subscription)
         self.events.release_source(self.source)
 
     # ------------------------------------------------------------------
@@ -427,27 +420,22 @@ class DimmunixCore:
 
         # A retry after a yield: drop the stale yield edges first.
         if thread.yielding_on is not None:
-            self._emit(
-                ResumeEvent,
-                thread=thread.name,
-                signature=thread.yielding_on,
-            )
+            self.stats.yield_wakeups += 1
+            self._emit(ResumeEvent, thread.name, thread.yielding_on)
             self.rag.clear_yield(thread)
             thread.yield_pos = None
             thread.yield_stack = None
             self._yield_count -= 1
 
-        request_event = self._emit(
-            RequestEvent,
-            thread=thread.name,
-            lock=lock.name,
-            position=position.key,
+        self.stats.requests += 1
+        request_ns = self._emit(
+            RequestEvent, thread.name, lock.name, position.key
         )
         if thread.request_since_ns is None:
             # First attempt only: a resume-retry keeps the original
             # stamp so the ``acquire`` latency (and the RAG dump's
             # request age) spans parks, not just the final grant.
-            thread.request_since_ns = request_event.ts_ns
+            thread.request_since_ns = request_ns
         self.rag.set_request(thread, lock, position, truncated)
 
         # --- detection ------------------------------------------------
@@ -455,12 +443,9 @@ class DimmunixCore:
         if cycle is not None:
             signature = signature_from_cycle(cycle)
             recorded = self._record(signature)
+            self.stats.deadlocks_detected += 1
             self._emit(
-                DetectionEvent,
-                thread=thread.name,
-                lock=lock.name,
-                signature=signature,
-                recorded=recorded,
+                DetectionEvent, thread.name, lock.name, signature, recorded
             )
             position.queue.add(thread, lock)
             return RequestResult(
@@ -479,12 +464,13 @@ class DimmunixCore:
             if extended is not None and extended.is_starvation:
                 starvation_sig = signature_from_extended(extended)
                 recorded = self._record(starvation_sig)
+                self.stats.starvations_detected += 1
                 self._emit(
                     StarvationEvent,
-                    thread=thread.name,
-                    signature=starvation_sig,
-                    trigger="request",
-                    recorded=recorded,
+                    thread.name,
+                    starvation_sig,
+                    "request",  # trigger
+                    recorded,
                 )
                 for yielder in extended.yielders:
                     if yielder.yielding_on is not None:
@@ -542,12 +528,9 @@ class DimmunixCore:
             thread.yield_pos = position
             thread.yield_stack = truncated
             self._yield_count += 1
+            self.stats.yields += 1
             self._emit(
-                YieldEvent,
-                thread=thread.name,
-                lock=lock.name,
-                position=position.key,
-                signature=signature,
+                YieldEvent, thread.name, lock.name, position.key, signature
             )
 
             if self.config.starvation_detection:
@@ -558,12 +541,13 @@ class DimmunixCore:
                     # threads, and retry with a one-shot bypass (§2.2).
                     starvation_sig = signature_from_extended(extended)
                     recorded = self._record(starvation_sig)
+                    self.stats.starvations_detected += 1
                     self._emit(
                         StarvationEvent,
-                        thread=thread.name,
-                        signature=starvation_sig,
-                        trigger="yield",
-                        recorded=recorded,
+                        thread.name,
+                        starvation_sig,
+                        "yield",  # trigger
+                        recorded,
                     )
                     for yielder in extended.yielders:
                         if yielder is thread:
@@ -614,12 +598,13 @@ class DimmunixCore:
             )
         self.rag.clear_request(thread)
         self.rag.set_hold(thread, lock, position, stack)
-        event = self._emit(AcquiredEvent, thread=thread.name, lock=lock.name)
+        self.stats.acquisitions += 1
+        acquired_ns = self._emit(AcquiredEvent, thread.name, lock.name)
         since = thread.request_since_ns
         if since is not None:
             thread.request_since_ns = None
             if self.telemetry is not None:
-                self.telemetry.record("acquire", event.ts_ns - since)
+                self.telemetry.record("acquire", acquired_ns - since)
 
     def fast_acquired(
         self, thread: ThreadNode, lock: LockNode, position: Position
@@ -679,25 +664,14 @@ class DimmunixCore:
         thread.held.add(lock)
         stats = self.stats
         stats.fastpath_acquires += 1
-        tel = self.telemetry
-        if self.events.lifecycle_observed:
-            t0 = time.monotonic_ns() if tel is not None else 0
-            self._emit(
-                RequestEvent,
-                thread=thread.name,
-                lock=lock.name,
-                position=position.key,
-            )
-            self._emit(AcquiredEvent, thread=thread.name, lock=lock.name)
-            if tel is not None:
-                tel.record("acquire", time.monotonic_ns() - t0)
-        else:
-            # Nobody (beyond our own stats mirror) is listening: skip
-            # the event pair but keep the counters it would have driven.
-            stats.requests += 1
-            stats.acquisitions += 1
-            if tel is not None:
-                tel.record("acquire", 0)
+        stats.requests += 1
+        request_ns = self._emit(
+            RequestEvent, thread.name, lock.name, position.key
+        )
+        stats.acquisitions += 1
+        acquired_ns = self._emit(AcquiredEvent, thread.name, lock.name)
+        if self.telemetry is not None:
+            self.telemetry.record("acquire", acquired_ns - request_ns)
         return True
 
     def release(self, thread: ThreadNode, lock: LockNode) -> ReleaseResult:
@@ -716,19 +690,10 @@ class DimmunixCore:
         self.rag.clear_hold(thread, lock)
         lock.acq_pos = None
         lock.acq_stack = None
-        if self.events.lifecycle_observed:
-            self._emit(
-                ReleaseEvent,
-                thread=thread.name,
-                lock=lock.name,
-                notified=len(notify),
-            )
-        else:
-            # Same elision as the fast-path acquire: with no external
-            # lifecycle subscriber the event reaches no one, so bump
-            # the counters it would have driven and skip the cost.
-            self.stats.releases += 1
-            self.stats.notifications += len(notify)
+        stats = self.stats
+        stats.releases += 1
+        stats.notifications += len(notify)
+        self._emit(ReleaseEvent, thread.name, lock.name, len(notify))
         if not notify:
             # The overwhelmingly common release has nobody to wake;
             # hand back a shared empty result (callers only read
@@ -775,12 +740,9 @@ class DimmunixCore:
             return None
         signature = starvation_signature_for_timeout(thread)
         recorded = self._record(signature)
+        self.stats.starvations_detected += 1
         self._emit(
-            StarvationEvent,
-            thread=thread.name,
-            signature=signature,
-            trigger=trigger,
-            recorded=recorded,
+            StarvationEvent, thread.name, signature, trigger, recorded
         )
         thread.bypass.add(thread.yielding_on)
         return signature
@@ -789,23 +751,27 @@ class DimmunixCore:
     # internals
     # ------------------------------------------------------------------
 
-    def _emit(self, event_cls, **fields):
-        """Stamp source/ts/ts_ns and publish one typed event.
+    def _emit(self, event_cls, *fields) -> int:
+        """Stamp ``ts_ns`` and publish one typed event if anyone wants it.
 
-        Centralized so no emit site can forget the stamping and silently
-        publish under the default source (subscriber errors never
-        escape the bus). Returns the published event so callers can read
-        its monotonic ``ts_ns`` back (the ``acquire`` phase latency is
-        the delta between a request's and its acquired's stamps).
+        The one place that decides whether an event is built: only when
+        its kind is in the bus's ``wanted`` set. Centralized so no emit
+        site can forget the stamping and silently publish under the
+        default source. ``fields`` is the event's own payload in its
+        declared field order — positional, because a keyword dict per
+        call is measurable on the fast path, where nobody may listen.
+        Returns the monotonic stamp either way, so callers read
+        latencies from it (the ``acquire`` phase is the delta between a
+        request's and its acquired's stamps).
         """
-        return self.events.publish(
-            event_cls(
-                source=self.source,
-                ts=self._now(),
-                ts_ns=time.monotonic_ns(),
-                **fields,
+        ts_ns = time.monotonic_ns()
+        if event_cls.kind in self.events.wanted:
+            # (source, ts, ts_ns, seq) lead every event's fields; the
+            # bus assigns seq at publish.
+            self.events.publish(
+                event_cls(self.source, self._now(), ts_ns, -1, *fields)
             )
-        )
+        return ts_ns
 
     def _check_instantiation(
         self, thread: ThreadNode, signature: DeadlockSignature
@@ -828,11 +794,11 @@ class DimmunixCore:
         if self.checker.last_capped:
             self._emit(
                 MatchCappedEvent,
-                thread=thread.name,
-                signature=signature,
-                steps=self.checker.last_steps,
-                policy=self.config.match_cap_policy.value,
-                instantiable=witnesses is not None,
+                thread.name,
+                signature,
+                self.checker.last_steps,
+                self.config.match_cap_policy.value,
+                witnesses is not None,
             )
         return witnesses
 

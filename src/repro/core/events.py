@@ -7,9 +7,10 @@ monitor scale to a whole platform. This module is that stream for the
 reproduction: the core engine publishes one typed, immutable event per
 request / acquired / release decision (plus yields, resumes, detections,
 starvations, matcher budget caps, and history saves), and everything
-downstream — stats,
-profilers, CLIs, benchmarks, remote aggregation — subscribes instead of
-scraping ``DimmunixStats`` snapshots.
+downstream — profilers, CLIs, benchmarks, remote aggregation —
+subscribes instead of scraping ``DimmunixStats`` snapshots. Events are
+side output: the counters in ``DimmunixStats`` are bumped by the
+emitters themselves, so they stay exact with no subscriber at all.
 
 Design constraints, in order:
 
@@ -20,6 +21,9 @@ Design constraints, in order:
   increasing ``seq``, and dispatch is serialized, so a subscriber sees
   events in exactly the order the bus accepted them — even when several
   adapters (a real-thread runtime and a simulated VM) share one bus.
+* **Nobody listening costs nothing.** :attr:`EventBus.wanted` is the
+  union of the kinds the current subscribers accept; an emitter builds
+  and publishes an event only when its kind is in it.
 * **No threading dependencies beyond a captured lock.** The bus captures
   ``threading.RLock`` at import time, before the platform-wide patch can
   replace it, so publishing from inside an immunized lock path cannot
@@ -332,19 +336,12 @@ EVENT_TYPES: dict[str, type[Event]] = {
 
 @dataclass
 class Subscription:
-    """Handle returned by :meth:`EventBus.subscribe`.
-
-    ``internal`` marks a subscription that belongs to the emitting
-    engine itself (its stats mirror): it is excluded from the bus's
-    ``lifecycle_observed`` accounting, because the engine keeps those
-    counters exact on the fast path without materializing events.
-    """
+    """Handle returned by :meth:`EventBus.subscribe`."""
 
     callback: Callable[[Event], None]
     kinds: Optional[frozenset[str]] = None
     source: Optional[str] = None
     active: bool = True
-    internal: bool = False
 
     def wants(self, event: Event) -> bool:
         if self.kinds is not None and event.kind not in self.kinds:
@@ -364,28 +361,23 @@ class EventBus:
     quick and must not block on immunized locks.
     """
 
-    #: kinds whose emission the engine's capture fast path may elide
-    #: while nobody (beyond the engines' own stats mirrors) listens.
-    FASTPATH_KINDS = frozenset({"request", "acquired", "release"})
-
     def __init__(self) -> None:
         self._lock = _RLock()
-        self._subscriptions: list[Subscription] = []
+        # Copy-on-write: (un)subscribe swaps in a new tuple, so publish
+        # iterates it as is and a subscriber may (un)subscribe during
+        # dispatch without corrupting the iteration.
+        self._subscriptions: tuple[Subscription, ...] = ()
         self._claimed_sources: set[str] = set()
         self._seq = 0
         self.published = 0
         self.delivered = 0
         self.subscriber_errors = 0
-        # True while at least one non-internal subscription wants a
-        # FASTPATH_KINDS event. Engines read this (plain attribute, no
-        # lock) on every fast-path acquisition: False means the
-        # request/acquired/release events would reach no one, so the
-        # engine skips building them and bumps its stats directly —
-        # identical counters, none of the construct/dispatch cost.
-        # Maintained under the bus lock by (un)subscribe; readers may
-        # observe a just-flipped value for one acquisition, which only
-        # delays the first observed event by that acquisition.
-        self.lifecycle_observed = False
+        # The kinds at least one subscription accepts (source filters
+        # are ignored: a kind wanted by anyone counts as wanted).
+        # Emitters read this plain attribute without the lock before
+        # building an event; a just-swapped value at worst drops or
+        # builds the one event in flight while a subscriber lands.
+        self.wanted: frozenset[str] = frozenset()
 
     # -- emitter registry --------------------------------------------------
 
@@ -419,14 +411,12 @@ class EventBus:
         *,
         kinds: Optional[Iterable[str]] = None,
         source: Optional[str] = None,
-        internal: bool = False,
     ) -> Subscription:
         """Register ``callback``; optionally filter by kind and/or source.
 
         ``kinds`` accepts event kind strings (``"request"``, ``"yield"``,
-        ...) or event classes. ``internal`` is reserved for an engine's
-        own stats mirror (see :class:`Subscription`). Returns the
-        :class:`Subscription` handle to pass to :meth:`unsubscribe`.
+        ...) or event classes. Returns the :class:`Subscription` handle
+        to pass to :meth:`unsubscribe`.
         """
         kind_set: Optional[frozenset[str]] = None
         if kinds is not None:
@@ -436,10 +426,9 @@ class EventBus:
             unknown = kind_set - set(EVENT_TYPES)
             if unknown:
                 raise ValueError(f"unknown event kinds: {sorted(unknown)}")
-        subscription = Subscription(callback, kind_set, source, internal=internal)
+        subscription = Subscription(callback, kind_set, source)
         with self._lock:
-            self._subscriptions.append(subscription)
-            self._recount_observers_locked()
+            self._swap_locked(self._subscriptions + (subscription,))
         return subscription
 
     def unsubscribe(
@@ -447,28 +436,29 @@ class EventBus:
     ) -> bool:
         """Remove a subscription (by handle or by callback). True if found."""
         with self._lock:
-            for existing in list(self._subscriptions):
+            for existing in self._subscriptions:
                 # Equality (not identity) on the callback: bound methods
                 # are recreated on every attribute access.
                 if existing is subscription or existing.callback == subscription:
                     existing.active = False
-                    self._subscriptions.remove(existing)
-                    self._recount_observers_locked()
+                    self._swap_locked(
+                        tuple(
+                            s for s in self._subscriptions if s is not existing
+                        )
+                    )
                     return True
         return False
 
-    def _recount_observers_locked(self) -> None:
-        wanted = self.FASTPATH_KINDS
-        self.lifecycle_observed = any(
-            not s.internal
-            and (s.kinds is None or not wanted.isdisjoint(s.kinds))
-            for s in self._subscriptions
-        )
+    def _swap_locked(self, subscriptions: tuple[Subscription, ...]) -> None:
+        self._subscriptions = subscriptions
+        wanted: set[str] = set()
+        for s in subscriptions:
+            wanted.update(EVENT_TYPES if s.kinds is None else s.kinds)
+        self.wanted = frozenset(wanted)
 
     @property
     def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subscriptions)
+        return len(self._subscriptions)
 
     # -- publishing --------------------------------------------------------
 
@@ -487,9 +477,7 @@ class EventBus:
             # writing the instance dict directly is always valid.
             event.__dict__["seq"] = self._seq
             self.published += 1
-            # Snapshot so a subscriber may (un)subscribe during dispatch
-            # (the lock is reentrant) without corrupting the iteration.
-            for subscription in tuple(self._subscriptions):
+            for subscription in self._subscriptions:
                 if not subscription.active or not subscription.wants(event):
                     continue
                 try:

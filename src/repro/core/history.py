@@ -86,6 +86,7 @@ class History:
         # through _announce_saved so each flush emits exactly one event.
         self._events = None
         self._source = "history"
+        self._stats = None
         self._persister = None
         self._sync_pump = None
         # expire_predictions runs at most once per History instance —
@@ -150,18 +151,22 @@ class History:
     # event plumbing
     # ------------------------------------------------------------------
 
-    def bind_events(self, events, source: str) -> bool:
-        """Bind the bus that save announcements publish on (first wins).
+    def bind_events(self, events, source: str, stats=None) -> bool:
+        """Bind the bus that announcements publish on (first wins).
 
         Called by the first :class:`~repro.core.engine.DimmunixCore` or
         :class:`~repro.api.Dimmunix` session that adopts this history;
         later binds are no-ops so a session-shared history announces
-        with one stable source.
+        with one stable source. ``stats`` (the binder's
+        :class:`~repro.core.stats.DimmunixStats`) is where each
+        announced seed is tallied, so a seed counts once however many
+        cores share the history.
         """
         if self._events is not None:
             return False
         self._events = events
         self._source = source
+        self._stats = stats
         return True
 
     @property
@@ -214,6 +219,7 @@ class History:
         if self._events is events:
             self._events = None
             self._source = "history"
+            self._stats = None
 
     def _announce_saved(self, path: Path | str) -> None:
         if self._events is None:
@@ -267,6 +273,8 @@ class History:
         if added and self._events is not None:
             from repro.core.events import PredictedSeededEvent
 
+            if self._stats is not None:
+                self._stats.predictions_seeded += 1
             self._events.publish(
                 PredictedSeededEvent(
                     source=self._source,

@@ -5,34 +5,19 @@ the raw counters from which the benchmark harness derives them. Counters
 are plain integers mutated under the adapter's global lock, so no atomics
 are needed — the same reasoning the paper uses for its global-lock design.
 
-Since the event-stream redesign, the lifecycle counters (requests,
-acquisitions, releases, yields, wakeups, detections, starvations,
-notifications) are no longer incremented inline by the engine: the engine
-publishes typed events on its :class:`~repro.core.events.EventBus` and a
-``DimmunixStats`` instance is just the first subscriber (see
-:meth:`DimmunixStats.on_event`). The fine-grained work counters
-(``instantiation_checks``, ``matching_steps``) and the adapter-side
-timings stay direct — they are hot-path tallies, not lifecycle events.
+Every counter has one source: the site that does the work bumps it
+directly. Where that site also emits a typed event (see
+:mod:`repro.core.events`), the bump sits next to the emit and happens
+whether or not anyone subscribes, so ``EventCounter`` totals equal these
+counters kind for kind while the counters never depend on the bus. The
+engine owns the lifecycle counters; the liveness watchdog, the fleet
+sync pump and the history's predicted seeds bump the stats of the core
+(or session) that owns them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-
-# Event kind -> counter attribute for the 1:1 lifecycle counters. The
-# parity is load-bearing: tests assert event-derived counts equal these.
-_EVENT_COUNTERS = {
-    "request": "requests",
-    "acquired": "acquisitions",
-    "release": "releases",
-    "yield": "yields",
-    "resume": "yield_wakeups",
-    "detection": "deadlocks_detected",
-    "starvation": "starvations_detected",
-    "predicted-seeded": "predictions_seeded",
-    "livelock-suspected": "livelock_suspects",
-    "watchdog-mitigation": "watchdog_mitigations",
-}
 
 
 @dataclass
@@ -60,9 +45,9 @@ class DimmunixStats:
     signatures_added: int = 0
     duplicate_signatures: int = 0
     avoided_instantiations: int = 0
-    # Predictive-immunity tallies: predictions_seeded counts
-    # PredictedSeededEvents on this source (the 1:1 lifecycle rule);
-    # the other three are direct engine/history tallies —
+    # Predictive-immunity tallies: predictions_seeded counts the seeds
+    # the history announced while bound to this core (or session); the
+    # other three are direct engine/history tallies —
     # avoided_instantiations whose signature was predicted or promoted,
     # predicted signatures upgraded to promoted by a real avoidance,
     # and predicted signatures dropped by the predicted_ttl_runs policy.
@@ -70,9 +55,9 @@ class DimmunixStats:
     predicted_avoidances: int = 0
     predictions_promoted: int = 0
     predictions_expired: int = 0
-    # Fleet-sync tallies, accumulated from FleetSyncEvents on this
-    # source (published by the SyncPump the engine attaches when
-    # fleet_sync_interval is configured): signatures pulled from the
+    # Fleet-sync tallies, bumped by the SyncPump the engine attaches
+    # when fleet_sync_interval is configured (the same deltas its
+    # FleetSyncEvent carries): signatures pulled from the
     # fleet, signatures pushed (or spilled-then-replayed) to it,
     # unreachable-server failures, and spill-journal entries replayed
     # after a partition healed.
@@ -80,21 +65,18 @@ class DimmunixStats:
     sync_pushed: int = 0
     sync_failures: int = 0
     spill_replayed: int = 0
-    # Liveness-watchdog tallies (1:1 lifecycle rule): suspicion and
-    # mitigation events published by the LivenessWatchdog under this
-    # source — the counter form of the llkd escalation ladder.
+    # Liveness-watchdog tallies, bumped by the LivenessWatchdog next to
+    # each suspicion / mitigation event it publishes — the counter form
+    # of the llkd escalation ladder.
     livelock_suspects: int = 0
     watchdog_mitigations: int = 0
     bypasses_granted: int = 0
     starvation_overrides: int = 0
     # Capture fast path tallies (hot-path, engine-incremented like
-    # matching_steps — not event-derived): acquisitions that took the
-    # no-history fast path, and positions demoted back to the exact
-    # path because history/fleet sync/predictions made them hot after
-    # the fast path had validated them cold. Note requests/acquisitions/
-    # releases stay exact on the fast path too: when no external
-    # subscriber wants lifecycle events the engine bumps them directly
-    # instead of publishing.
+    # matching_steps): acquisitions that took the no-history fast path,
+    # and positions demoted back to the exact path because history/fleet
+    # sync/predictions made them hot after the fast path had validated
+    # them cold.
     fastpath_acquires: int = 0
     fastpath_demotions: int = 0
     stack_retrievals: int = 0
@@ -106,25 +88,6 @@ class DimmunixStats:
     # failed physical acquires, cancelled awaits).
     tasks_registered: int = 0
     requests_cancelled: int = 0
-
-    def on_event(self, event) -> None:
-        """Derive the lifecycle counters from the typed event stream.
-
-        Registered by :class:`~repro.core.engine.DimmunixCore` as the
-        first subscriber on its bus (filtered to its own source), so the
-        counters stay exactly backward-compatible while every other
-        consumer reads the same stream.
-        """
-        counter = _EVENT_COUNTERS.get(event.kind)
-        if counter is not None:
-            setattr(self, counter, getattr(self, counter) + 1)
-        if event.kind == "release":
-            self.notifications += event.notified
-        elif event.kind == "fleet-sync":
-            self.sync_pulls += event.pulled
-            self.sync_pushed += event.pushed
-            self.sync_failures += event.failures
-            self.spill_replayed += event.spill_replayed
 
     def snapshot(self) -> dict[str, int]:
         """A plain-dict copy, suitable for asserting deltas in tests."""

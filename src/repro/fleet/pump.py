@@ -18,11 +18,11 @@ rides alongside:
 
 Each cycle calls the store's ``refresh()`` (every shared backend has
 one) and folds the store's own transport counters into deltas; a cycle
-with anything to report publishes one
-:class:`~repro.core.events.FleetSyncEvent` under the owning engine's
-source, which is how the counters reach ``DimmunixStats``
+with anything to report bumps the owning engine's ``DimmunixStats``
 (``sync_pulls`` / ``sync_pushed`` / ``sync_failures`` /
-``spill_replayed``). All-quiet cycles publish nothing.
+``spill_replayed``) and publishes one
+:class:`~repro.core.events.FleetSyncEvent` under its source. All-quiet
+cycles publish nothing.
 
 Failures never propagate: an unreachable server is a counted event,
 retried next cycle — the pump must be as unkillable as the persister.
@@ -57,6 +57,7 @@ class SyncPump:
         *,
         interval: Optional[float] = None,
         source: str = "core",
+        stats=None,
         telemetry=None,
         health_provider=None,
     ) -> None:
@@ -64,6 +65,10 @@ class SyncPump:
         self.events = events
         self.interval = interval
         self.source = source
+        # The owning engine's DimmunixStats (None for a free-standing
+        # pump): each reported cycle's deltas are added to its sync_*
+        # counters.
+        self.stats = stats
         # Zero-arg callable returning the owning core's liveness-health
         # dict (the LivenessWatchdog's health()); rides along in the
         # metrics report so `dimmunix-serve` can aggregate fleet-wide
@@ -77,8 +82,7 @@ class SyncPump:
         self.telemetry = telemetry
         self.last_sync_ns: Optional[int] = None
         self.metrics_pushed = 0
-        # Cumulative pump-side telemetry (mirrored into stats via the
-        # published events).
+        # Cumulative pump-side telemetry.
         self.cycles = 0
         self.pulls = 0
         self.pushes = 0
@@ -174,6 +178,12 @@ class SyncPump:
         self.spill_replays += spill_replayed
         if not (pulled or pushed or failures or spill_replayed):
             return  # a healthy idle fleet stays off the event stream
+        stats = self.stats
+        if stats is not None:
+            stats.sync_pulls += pulled
+            stats.sync_pushed += pushed
+            stats.sync_failures += failures
+            stats.spill_replayed += spill_replayed
         self.events.publish(
             FleetSyncEvent(
                 source=self.source,

@@ -32,7 +32,7 @@ _Local = threading.local
 #: capture      callsite/position resolution (``resolve_stack``)
 #: glock_wait   waiting to enter the adapter's global engine lock
 #: match        signature instantiation check (``would_instantiate``)
-#: acquire      full request -> acquired latency (event-derived)
+#: acquire      full request -> acquired latency (emit stamps)
 #: yield_park   parked in an avoidance yield (condition / future wait)
 #: store_flush  write-behind history persistence flush
 #: sync         one fleet sync-pump cycle (refresh + counter fold)

@@ -1,9 +1,10 @@
 """``dimmunix-report`` — render benchmark records as a readable report.
 
 The benchmark harness appends one JSON object per paper-vs-measured
-comparison to ``benchmarks/results/records.jsonl``; this tool turns that
-file into the summary block (the same rendering the terminal shows) or a
-markdown table ready to paste into EXPERIMENTS.md.
+comparison to ``benchmarks/results/records.jsonl``, each run opened by a
+``run_header`` row; this tool turns the latest record of each experiment
+in that ledger into the summary block (the same rendering the terminal
+shows) or a markdown table ready to paste into EXPERIMENTS.md.
 
 The ``metrics`` verb (``dimmunix-report metrics SRC``) instead renders
 telemetry as Prometheus text exposition. ``SRC`` is one of:
@@ -37,29 +38,32 @@ DEFAULT_RECORDS = Path("benchmarks/results/records.jsonl")
 
 
 def load_records(path: Path) -> list[ExperimentRecord]:
-    records: list[ExperimentRecord] = []
+    """The latest record of each experiment (the ledger only appends)."""
+    records: dict[str, ExperimentRecord] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 data = json.loads(line)
-                records.append(
-                    ExperimentRecord(
-                        experiment_id=data["experiment_id"],
-                        description=data["description"],
-                        paper_value=data["paper_value"],
-                        measured_value=data["measured_value"],
-                        holds=bool(data["holds"]),
-                        notes=data.get("notes", ""),
-                        details=data.get("details", {}),
-                    )
+                if data.get("run_header"):
+                    continue
+                records[data["experiment_id"]] = ExperimentRecord(
+                    experiment_id=data["experiment_id"],
+                    description=data["description"],
+                    paper_value=data["paper_value"],
+                    measured_value=data["measured_value"],
+                    holds=bool(data["holds"]),
+                    notes=data.get("notes", ""),
+                    details=data.get("details", {}),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (
+                json.JSONDecodeError, KeyError, TypeError, AttributeError
+            ) as exc:
                 raise SystemExit(
                     f"error: bad record at {path}:{line_number}: {exc}"
                 )
-    return records
+    return list(records.values())
 
 
 def _render_text(records: list[ExperimentRecord]) -> str:

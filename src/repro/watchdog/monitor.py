@@ -256,6 +256,7 @@ class LivenessWatchdog:
             self.last_report = report
         for name in newly:
             self.suspects_total += 1
+            self.core.stats.livelock_suspects += 1
             info = candidates[name]
             self._publish(
                 LivelockSuspectedEvent,
@@ -315,6 +316,7 @@ class LivenessWatchdog:
         if self.policy is WatchdogPolicy.BREAK_YOUNGEST:
             action = self._break(target)
         self.mitigations += 1
+        self.core.stats.watchdog_mitigations += 1
         self._publish(
             WatchdogMitigationEvent,
             thread=target,

@@ -337,6 +337,29 @@ class TestUnifiedEventStream:
         assert len(lines) == dx.events.published
         assert dx.counter.count("detection") == 1
 
+    def test_predicted_seed_counts_once_in_session_stats(self):
+        from repro.core.callstack import CallStack
+        from repro.core.signature import DeadlockSignature, SignatureEntry
+
+        signature = DeadlockSignature(
+            [
+                SignatureEntry(
+                    CallStack.single("p.py", 1), CallStack.single("p.py", 2)
+                ),
+                SignatureEntry(
+                    CallStack.single("p.py", 3), CallStack.single("p.py", 4)
+                ),
+            ]
+        )
+        with immunity(auto_save=False) as dx:
+            # Three cores share the history; the seed is still one.
+            dx.runtime()
+            dx.aio()
+            dx.vm()
+            assert dx.history.add_predicted(signature, origin="lint")
+            assert dx.counter.count("predicted-seeded") == 1
+            assert dx.stats.predictions_seeded == 1
+
     def test_save_history_emits_history_saved(self, tmp_path):
         with immunity(yield_timeout=1.0, name="hs") as dx:
             log = dx.tail()

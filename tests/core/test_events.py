@@ -7,9 +7,10 @@ Three properties are load-bearing for everything downstream:
    concurrent lock traffic from many real threads.
 2. **Isolation** — a subscriber that raises never perturbs the lock
    path, the other subscribers, or the stats counters.
-3. **Parity** — the legacy ``DimmunixStats`` lifecycle counters are
-   *derived from* the stream, so event-derived counts and counters can
-   never drift apart.
+3. **Parity** — every emit site bumps its ``DimmunixStats`` counter
+   next to the event, so event counts and counters agree kind for kind
+   whenever the kind is wanted — and the counters stay exact when it is
+   not (the emit guard builds no event nobody subscribed to).
 """
 
 from __future__ import annotations
@@ -314,7 +315,7 @@ def drive_abba_deadlock(core: DimmunixCore) -> None:
 
 
 class TestEngineEmission:
-    def test_lifecycle_counters_are_event_derived(self):
+    def test_lifecycle_counters_match_event_counts(self):
         core = DimmunixCore(DimmunixConfig(yield_timeout=None))
         counter = EventCounter()
         core.events.subscribe(counter)
@@ -326,31 +327,55 @@ class TestEngineEmission:
         assert core.stats.releases == counter.count("release") == 0
 
     def test_watchdog_kinds_reach_stats_and_counter(self):
-        from repro.core.events import (
-            LivelockSuspectedEvent,
-            WatchdogMitigationEvent,
-        )
+        from repro.core.events import LivelockSuspectedEvent
+        from repro.watchdog import LivenessWatchdog
 
-        core = DimmunixCore(DimmunixConfig(yield_timeout=None))
+        core = DimmunixCore(
+            DimmunixConfig(
+                yield_timeout=None, auto_save=False, watchdog_stall_age=0.5
+            )
+        )
+        watchdog = LivenessWatchdog(core, autostart=False)
         counter = EventCounter()
         core.events.subscribe(counter)
-        # The watchdog publishes under the owning core's source, which
-        # is all it takes to reach the stats subscription — same 1:1
-        # lifecycle rule as every other kind.
-        core.events.publish(
-            LivelockSuspectedEvent(source=core.source, thread="w")
-        )
-        core.events.publish(
-            WatchdogMitigationEvent(source=core.source, thread="w")
-        )
+        holder = core.register_thread("holder")
+        waiter = core.register_thread("waiter")
+        lock = core.register_lock("A")
+        core.request(holder, lock, stack(1))
+        core.acquired(holder, lock)
+        core.request(waiter, lock, stack(2))
+        # The real publish path: the first scan past the stall age
+        # suspects the waiter, the next one mitigates it.
+        since = waiter.request_since_ns
+        watchdog.scan_once(now_ns=since + 600_000_000)
+        watchdog.scan_once(now_ns=since + 700_000_000)
+        # A foreign event on the bus reaches the counter, not the stats.
         core.events.publish(
             LivelockSuspectedEvent(source="someone-else", thread="w")
         )
-        assert core.stats.livelock_suspects == 1
-        assert core.stats.watchdog_mitigations == 1
+        watchdog.close()
+        assert core.stats.livelock_suspects == counter.count(
+            "livelock-suspected", source=core.source
+        ) == 1
+        assert core.stats.watchdog_mitigations == counter.count(
+            "watchdog-mitigation", source=core.source
+        ) == 1
         assert counter.count("livelock-suspected") == 2
-        assert counter.count("watchdog-mitigation") == 1
-        assert counter.count("livelock-suspected", source=core.source) == 1
+
+    def test_predicted_seed_tallied_by_the_binding_core_only(self):
+        first = DimmunixCore(DimmunixConfig(yield_timeout=None))
+        second = DimmunixCore(
+            DimmunixConfig(yield_timeout=None),
+            history=first.history,
+            events=first.events,
+            source="second",
+        )
+        counter = EventCounter()
+        first.events.subscribe(counter)
+        assert first.history.add_predicted(sample_signature(), origin="t")
+        assert counter.count("predicted-seeded", source=first.source) == 1
+        assert first.stats.predictions_seeded == 1
+        assert second.stats.predictions_seeded == 0
 
     def test_detection_event_carries_the_recorded_signature(self):
         core = DimmunixCore(DimmunixConfig(yield_timeout=None))
@@ -474,7 +499,7 @@ class TestEngineEmission:
         core.events.subscribe(broken)
         drive_abba_deadlock(core)  # must not raise
         assert core.events.subscriber_errors > 0
-        # Stats subscribed before the broken one: counters unharmed.
+        # The counters never pass through the bus: unharmed.
         assert core.stats.requests == 4
 
 

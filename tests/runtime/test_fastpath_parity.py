@@ -10,8 +10,7 @@ and assert the observable outputs are identical, kind for kind —
 * verdicts agree (who finished, who detected, who avoided);
 * the recorded signatures have the same shape;
 * the lifecycle counters agree exactly (including with *no* subscriber,
-  where the fast path elides event construction and bumps counters
-  directly).
+  where no event is built at all and the counters alone keep count).
 
 Both execution domains run the same packs: the threaded runtime and the
 asyncio layer.
@@ -23,6 +22,9 @@ import asyncio
 import threading
 import time
 
+import pytest
+
+from repro.core.events import EventCounter
 from repro.errors import DeadlockDetectedError
 from tests.aio.conftest import make_aio_runtime
 from tests.conftest import make_runtime
@@ -297,8 +299,8 @@ class TestAioFastPathParity:
 
 
 class TestUnobservedCounters:
-    """With no external subscriber the fast path elides event
-    construction entirely; the counters must stay exact anyway."""
+    """With no subscriber the engine publishes nothing on either path;
+    the counters must stay exact anyway."""
 
     def test_threaded_counters_exact_without_subscriber(self):
         fast = make_runtime(position_cache=True, fast_path=True)
@@ -310,7 +312,7 @@ class TestUnobservedCounters:
                 slow.stats.snapshot()[counter]
             ), counter
         assert fast.stats.fastpath_acquires > 0
-        assert not fast.events.lifecycle_observed
+        assert fast.events.published == slow.events.published == 0
 
     def test_aio_counters_exact_without_subscriber(self):
         fast = make_aio_runtime(position_cache=True, fast_path=True)
@@ -322,19 +324,79 @@ class TestUnobservedCounters:
                 slow.stats.snapshot()[counter]
             ), counter
         assert fast.stats.fastpath_acquires > 0
+        assert fast.events.published == slow.events.published == 0
 
     def test_subscribing_midway_restores_events(self):
-        """The observed flag flips live: events appear from the moment
-        a lifecycle subscriber lands, and counters never double-count."""
+        """The emit guard follows the bus live: events appear from the
+        moment a lifecycle subscriber lands, and counters never
+        double-count."""
         runtime = make_runtime(position_cache=True, fast_path=True)
         lock = runtime.lock("L")
         with lock:
             pass
         assert runtime.stats.acquisitions == 1
+        assert runtime.events.published == 0
         kinds = _collect_kinds(runtime)
-        assert runtime.events.lifecycle_observed
         with lock:
             pass
         assert kinds == ["request", "acquired", "release"]
         assert runtime.stats.acquisitions == 2
         assert runtime.stats.releases == 2
+
+
+# ----------------------------------------------------------------------
+# the emit guard: only wanted kinds are built, counters stay whole
+# ----------------------------------------------------------------------
+
+# Counter of each lifecycle kind the packs emit (the EventCounter oracle).
+_KIND_COUNTERS = {
+    "request": "requests",
+    "acquired": "acquisitions",
+    "release": "releases",
+    "yield": "yields",
+    "resume": "yield_wakeups",
+    "detection": "deadlocks_detected",
+    "starvation": "starvations_detected",
+}
+
+_DOMAINS = {
+    "threaded": (make_runtime, _run_threaded_uncontended, _run_threaded_pair),
+    "aio": (make_aio_runtime, _run_aio_uncontended, _run_aio_pair),
+}
+
+
+def _uncontended_then_pair(domain: str, fast: bool, subscriber, kinds=None):
+    """The uncontended pack and the AB/BA pair on one runtime whose bus
+    carries ``subscriber`` (filtered to ``kinds``) from the start."""
+    make, uncontended, pair = _DOMAINS[domain]
+    runtime = make(**_fast_overrides(fast))
+    runtime.subscribe(subscriber, kinds=kinds)
+    uncontended(runtime)
+    return runtime, pair(runtime)
+
+
+class TestEmitGuard:
+    """With one subscriber that wants only ``detection`` (the write-behind
+    persister's shape) the engine builds no other event on either path,
+    and every counter still equals a fully counted run of the pack."""
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "exact"])
+    @pytest.mark.parametrize("domain", sorted(_DOMAINS))
+    def test_detection_only_subscriber(self, domain, fast):
+        seen: list = []
+        guarded, outcome = _uncontended_then_pair(
+            domain, fast, seen.append, kinds=("detection",)
+        )
+        oracle = EventCounter()
+        counted, counted_outcome = _uncontended_then_pair(domain, fast, oracle)
+
+        assert outcome == counted_outcome
+        assert outcome["detected"] == 1
+        assert [event.kind for event in seen] == ["detection"]
+        assert guarded.events.published == 1
+        for kind, counter in _KIND_COUNTERS.items():
+            assert getattr(guarded.stats, counter) == oracle.count(kind), kind
+            assert getattr(counted.stats, counter) == oracle.count(kind), kind
+        assert oracle.count("request") > 0
+        assert (guarded.stats.fastpath_acquires > 0) is fast
+        assert (counted.stats.fastpath_acquires > 0) is fast

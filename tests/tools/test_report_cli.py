@@ -64,6 +64,32 @@ class TestTextReport:
         assert "all recorded comparisons hold" in capsys.readouterr().out
 
 
+class TestLedger:
+    def test_header_rows_skipped_and_latest_run_wins(self, tmp_path, capsys):
+        def row(measured: str, holds: bool) -> dict:
+            return {
+                "experiment_id": "E1.vm",
+                "description": "overhead",
+                "paper_value": "4-5%",
+                "measured_value": measured,
+                "holds": holds,
+            }
+
+        header = {"run_header": True, "git_sha": "abc", "nproc": 2}
+        path = tmp_path / "records.jsonl"
+        path.write_text(
+            "\n".join(
+                json.dumps(r)
+                for r in (header, row("9%", False), header, row("5%", True))
+            )
+            + "\n"
+        )
+        assert main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "5%" in out and "9%" not in out
+        assert "1/1 comparisons hold" in out
+
+
 class TestMarkdown:
     def test_markdown_table(self, records_file, capsys):
         main([str(records_file), "--format", "markdown"])
